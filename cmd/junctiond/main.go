@@ -432,7 +432,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 			eng.JobAdmitted(j.ID, j.Trace, now, latency.Seconds(), deadline, g.Placement.Finish())
 		})
 	}
-	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",
+	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d read+decode+apply=%s)\n\n",
 		srv.Addr(), cfg.dir, pol, rec.State.LSN, rec.Records, len(plane.Grants()), rec.ReplayDuration)
 	return srv, plane, eng, nil
 }

@@ -141,6 +141,10 @@ type TraceHooks struct {
 	// WorkerFault fires on injected faults: kind is "crash", "transient"
 	// or "slow".
 	WorkerFault func(step, worker int, kind string)
+	// TaskExec and WorkerFault fire under the step's dispatch lock, and
+	// only while the step is running: an execution that outlives its step
+	// reports nothing, so their counts agree with Metrics exactly.  Keep
+	// them short: they serialize the step's workers.
 }
 
 // Config configures a runtime.

@@ -84,6 +84,8 @@ type task struct {
 // dispatcher coordinates eager scheduling of one step's tasks.
 type dispatcher struct {
 	mu        sync.Mutex
+	rt        *Runtime
+	step      int // step ID reported to hooks
 	tasks     []*task
 	fresh     int // index of next never-attempted task
 	remaining int // uncommitted task count
@@ -91,11 +93,15 @@ type dispatcher struct {
 	rr        int           // round-robin cursor for duplicate selection
 	done      chan struct{} // closed when the step completes or fails
 	stats     stepStats
+	closed    bool // set by End when it snapshots stats; later events are dropped
 }
 
 // stepStats counts events within one step; flushed into Runtime.Metrics
-// when the step ends (events from executions that outlive the step are
-// dropped).
+// when the step ends.  Every count and the hook that reports it happen
+// together under d.mu while the step is open, and End snapshots the stats
+// and closes the step under the same lock: an event lands in both the
+// stats and the hook stream or in neither, so hook counts equal Metrics by
+// construction.  Executions that outlive the step report nothing.
 type stepStats struct {
 	execs, dups, wasted, transients, crashed int
 }
@@ -109,20 +115,20 @@ func (d *dispatcher) finish() {
 	}
 }
 
-// next hands the calling worker a task to execute: fresh tasks first, then
-// eager duplicates of uncommitted ones.  It returns nil when the step is
-// complete or has failed.
-func (d *dispatcher) next(maxAttempts int) (*task, int, error) {
+// next hands worker wid a task to execute: fresh tasks first, then eager
+// duplicates of uncommitted ones.  It returns nil when the step is
+// complete, has failed or has closed.
+func (d *dispatcher) next(wid int) (*task, int, outcome, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed != nil || d.remaining == 0 {
-		return nil, 0, d.failed
+	if d.closed || d.failed != nil || d.remaining == 0 {
+		return nil, 0, outcomeOK, d.failed
 	}
 	if d.fresh < len(d.tasks) {
 		t := d.tasks[d.fresh]
 		d.fresh++
 		t.attempts++
-		return t, t.attempts, nil
+		return t, t.attempts, d.startLocked(wid), nil
 	}
 	// Eager scheduling: duplicate an uncommitted task (round-robin so the
 	// duplicates spread over the stragglers).
@@ -134,29 +140,68 @@ func (d *dispatcher) next(maxAttempts int) (*task, int, error) {
 		}
 		d.rr = (d.rr + i + 1) % n
 		t.attempts++
-		if t.attempts > maxAttempts {
+		if t.attempts > d.rt.cfg.MaxAttempts {
 			d.failed = fmt.Errorf("%w: task %d after %d executions", ErrTooManyAttempts, t.id, t.attempts)
-			return nil, 0, d.failed
+			return nil, 0, outcomeOK, d.failed
 		}
-		return t, t.attempts, nil
+		d.stats.dups++
+		return t, t.attempts, d.startLocked(wid), nil
 	}
-	return nil, 0, nil // raced with the last commit
+	return nil, 0, outcomeOK, nil // raced with the last commit
 }
 
-// commit records an execution's writes; the first completer wins.
-// It reports whether this execution won.
-func (d *dispatcher) commit(t *task, writes map[string]Value) bool {
+// startLocked counts an execution handed to worker wid and draws its
+// injected fate.  The fate's effects (a crash noted on the runtime, the
+// fault counted and reported) are applied before d.mu is released, so a
+// fault is drawn only in an open step and is never drawn without being
+// applied.  The caller holds d.mu.
+func (d *dispatcher) startLocked(wid int) outcome {
+	d.stats.execs++
+	fate := d.rt.cfg.Faults.decide(d.rt.cfg.Workers)
+	switch fate {
+	case outcomeCrash:
+		d.rt.noteCrash()
+		d.stats.crashed++
+		d.fault(wid, "crash")
+	case outcomeTransient:
+		d.stats.transients++
+		d.fault(wid, "transient")
+	case outcomeSlow:
+		d.fault(wid, "slow")
+	}
+	return fate
+}
+
+// fault reports an injected fault to the WorkerFault hook.  The caller
+// holds d.mu.
+func (d *dispatcher) fault(wid int, kind string) {
+	if h := d.rt.cfg.Hooks.WorkerFault; h != nil {
+		h(d.step, wid, kind)
+	}
+}
+
+// commit records an execution's writes (the first completer wins) and
+// reports the execution through exec.  It returns false, doing nothing,
+// once the step has closed: a straggler's late commit is neither counted
+// nor reported, and the worker must exit.
+func (d *dispatcher) commit(t *task, writes map[string]Value, exec func(won bool)) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if t.committed || d.failed != nil {
+	if d.closed {
 		return false
 	}
-	t.committed = true
-	t.writes = writes
-	d.remaining--
-	if d.remaining == 0 {
-		d.finish()
+	won := !t.committed && d.failed == nil
+	if won {
+		t.committed = true
+		t.writes = writes
+		d.remaining--
+		if d.remaining == 0 {
+			d.finish()
+		}
+	} else {
+		d.stats.wasted++
 	}
+	exec(won)
 	return true
 }
 
@@ -189,7 +234,7 @@ func (s *Step) End() (err error) {
 	rt := s.rt
 	hooks := rt.cfg.Hooks
 
-	d := &dispatcher{done: make(chan struct{})}
+	d := &dispatcher{rt: rt, done: make(chan struct{})}
 	id := 0
 	for _, r := range s.routines {
 		for n := 0; n < r.width; n++ {
@@ -207,6 +252,7 @@ func (s *Step) End() (err error) {
 	}
 
 	stepID := rt.nextStepID()
+	d.step = stepID
 	if hooks.StepStart != nil {
 		hooks.StepStart(stepID, len(d.tasks))
 	}
@@ -220,27 +266,12 @@ func (s *Step) End() (err error) {
 
 	worker := func(wid int) {
 		for {
-			t, attempt, err := d.next(rt.cfg.MaxAttempts)
+			t, attempt, fate, err := d.next(wid)
 			if t == nil || err != nil {
 				return
 			}
-			d.mu.Lock()
-			d.stats.execs++
-			if attempt > 1 {
-				d.stats.dups++
-			}
-			d.mu.Unlock()
-
-			fate := rt.cfg.Faults.decide(rt.cfg.Workers)
 			switch fate {
 			case outcomeCrash:
-				rt.noteCrash()
-				d.mu.Lock()
-				d.stats.crashed++
-				d.mu.Unlock()
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "crash")
-				}
 				aliveMu.Lock()
 				alive--
 				dead := alive == 0
@@ -250,17 +281,8 @@ func (s *Step) End() (err error) {
 				}
 				return // the worker is gone; its execution is lost
 			case outcomeTransient:
-				d.mu.Lock()
-				d.stats.transients++
-				d.mu.Unlock()
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "transient")
-				}
 				continue // abandoned; eager scheduling will retry
 			case outcomeSlow:
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "slow")
-				}
 				time.Sleep(rt.cfg.Faults.SlowDelay)
 			}
 
@@ -283,14 +305,12 @@ func (s *Step) End() (err error) {
 				elapsed := time.Since(started)
 				time.Sleep(time.Duration(float64(elapsed) * (1/sp - 1)))
 			}
-			won := d.commit(t, ctx.writes)
-			if !won {
-				d.mu.Lock()
-				d.stats.wasted++
-				d.mu.Unlock()
-			}
-			if hooks.TaskExec != nil {
-				hooks.TaskExec(stepID, wid, t.id, attempt, started, time.Since(started), won)
+			if !d.commit(t, ctx.writes, func(won bool) {
+				if hooks.TaskExec != nil {
+					hooks.TaskExec(stepID, wid, t.id, attempt, started, time.Since(started), won)
+				}
+			}) {
+				return
 			}
 		}
 	}
@@ -300,12 +320,14 @@ func (s *Step) End() (err error) {
 	}
 	// The step ends as soon as every task has committed (or the step
 	// failed) — not when every in-flight execution returns.  A stalled
-	// duplicate keeps running in the background and exits on its next
-	// dispatch attempt; its late stats and commit are discarded.  This is
-	// the point of eager scheduling: stragglers cannot delay the step.
+	// duplicate keeps running in the background and exits at its commit
+	// or next dispatch attempt; its late stats, hooks and commit are
+	// discarded.  This is the point of eager scheduling: stragglers cannot
+	// delay the step.
 	<-d.done
 
 	d.mu.Lock()
+	d.closed = true
 	st := d.stats
 	failed := d.failed
 	remaining := d.remaining

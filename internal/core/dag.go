@@ -127,6 +127,9 @@ func (j DAGJob) Validate() error {
 	if len(j.Alts) == 0 {
 		return fmt.Errorf("dag job %d: no alternatives", j.ID)
 	}
+	if len(j.Alts) > MaxChains {
+		return fmt.Errorf("dag job %d: %d alternatives (limit %d)", j.ID, len(j.Alts), MaxChains)
+	}
 	for i, d := range j.Alts {
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("dag job %d alt %d: %w", j.ID, i, err)

@@ -168,11 +168,20 @@ func (j Job) Area() float64 {
 	return a
 }
 
+// MaxChains bounds the execution paths one job may offer: a Job's Chains
+// or a DAGJob's Alts.  Validate enforces it at admission, so every chosen
+// path index a scheduler commits (Placement.Chain) is below it, and crash
+// recovery can refuse any larger index as corrupt.
+const MaxChains = 1 << 16
+
 // Validate checks the job and all its chains.  Task deadlines must not
 // precede the job's release time.
 func (j Job) Validate() error {
 	if len(j.Chains) == 0 {
 		return errors.New("job has no chains")
+	}
+	if len(j.Chains) > MaxChains {
+		return fmt.Errorf("job %d: %d chains (limit %d)", j.ID, len(j.Chains), MaxChains)
 	}
 	for ci, c := range j.Chains {
 		if err := c.Validate(); err != nil {

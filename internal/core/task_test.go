@@ -155,3 +155,29 @@ func TestPlacementAccessors(t *testing.T) {
 		t.Error("empty placement accessors not zero")
 	}
 }
+
+// TestValidateChainLimit: a job may offer at most MaxChains paths, as a
+// chain job or as a DAG job.
+func TestValidateChainLimit(t *testing.T) {
+	chain := Chain{Tasks: []Task{rect("a", 1, 1, 10)}}
+	j := Job{ID: 1, Chains: make([]Chain, MaxChains)}
+	for i := range j.Chains {
+		j.Chains[i] = chain
+	}
+	if err := j.Validate(); err != nil {
+		t.Fatalf("job with MaxChains chains: %v", err)
+	}
+	j.Chains = append(j.Chains, chain)
+	if j.Validate() == nil {
+		t.Fatal("job with MaxChains+1 chains accepted")
+	}
+
+	dag := DAG{Tasks: []DAGTask{{Task: rect("a", 1, 1, 10)}}}
+	d := DAGJob{ID: 2, Alts: make([]DAG, MaxChains+1)}
+	for i := range d.Alts {
+		d.Alts[i] = dag
+	}
+	if d.Validate() == nil {
+		t.Fatal("DAG job with MaxChains+1 alternatives accepted")
+	}
+}

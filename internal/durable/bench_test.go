@@ -2,9 +2,15 @@ package durable
 
 import (
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"milan/internal/core"
+	"milan/internal/durable/vfs"
+	"milan/internal/workload"
 )
 
 // benchLog builds a committed event log of n records (alternating observe
@@ -43,22 +49,37 @@ func benchLog(n int) (State, []Record) {
 	return gen, recs
 }
 
-// BenchmarkReplay measures log replay — the recovery hot path — at 1k,
-// 10k and 100k committed records.  Replay cost bounds restart downtime,
-// so this is the number the snapshot cadence trades against.
+// replay applies recs to base through recovery's applier.
+func replay(base State, recs []Record) (State, error) {
+	rp, err := newReplayer(base, nil)
+	if err != nil {
+		return State{}, err
+	}
+	for i := range recs {
+		if err := rp.apply(&recs[i]); err != nil {
+			return State{}, err
+		}
+	}
+	return rp.state(), nil
+}
+
+// BenchmarkReplay measures the applier — the recovery hot path without
+// the reads — at 1k, 10k and 100k committed records.  Replay cost bounds
+// restart downtime, so this is the number the snapshot cadence trades
+// against.
 func BenchmarkReplay(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			gen, recs := benchLog(n)
 			// One untimed warmup so lazy one-time allocations don't smear
 			// a +-1 jitter into allocs/op at low iteration counts.
-			if _, err := replayState(gen, recs, nil); err != nil {
+			if _, err := replay(gen, recs); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := replayState(gen, recs, nil)
+				st, err := replay(gen, recs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,11 +91,99 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// recoverLog returns the bytes of a one-segment log of exactly n records
+// written by a live plane: Figure-4 jobs on 2x32 processors, released
+// closely enough that about half are rejected, with an Observe after every
+// 32nd job.
+func recoverLog(b *testing.B, n int) []byte {
+	mem := vfs.NewMem()
+	p, _, err := OpenPlane(Config{
+		FS: mem, Dir: "log", Procs: 64, Shards: 2, ProbeK: 1,
+		Store: StoreOptions{Sync: SyncNever, SnapshotEvery: math.MaxInt32},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fig4 := workload.FigureJob{X: 16, T: 25, Alpha: 0.25, Laxity: 0.5}
+	rng := rand.New(rand.NewSource(1))
+	release, observed := 0.0, 0.0
+	for id, records := 1, 0; records < n; id++ {
+		release += rng.ExpFloat64() * 6
+		p.Negotiate(fig4.Job(id, release, workload.Tunable)) // a rejection is journaled too
+		records++
+		if now := release - 50; id%32 == 0 && now > observed && records < n {
+			p.Observe(now)
+			observed = now
+			records++
+		}
+	}
+	if st := p.ExportState(); st.LSN != uint64(n) {
+		b.Fatalf("log holds %d records, want %d", st.LSN, n)
+	}
+	p.Close()
+	f, err := mem.Open(filepath.Join("log", segName(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
+}
+
+// BenchmarkRecover measures what Open runs at restart: list the directory,
+// stream the segment (read, check, decode, apply), then compact the
+// recovered state into a fresh snapshot.  Each iteration opens its own
+// in-memory copy of the log, prepared outside the timer.
+func BenchmarkRecover(b *testing.B) {
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			seg := recoverLog(b, n)
+			gen, err := Genesis(64, 2, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fresh := func() vfs.FS {
+				mem := vfs.NewMem()
+				f, err := mem.Create(filepath.Join("log", segName(1)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.Write(seg); err != nil {
+					b.Fatal(err)
+				}
+				return mem
+			}
+			open := func(fs vfs.FS) {
+				s, rec, err := Open(OpenConfig{FS: fs, Dir: "log", Genesis: gen})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec.Records != n || rec.Torn {
+					b.Fatalf("recovered %d records (torn=%v), want %d", rec.Records, rec.Torn, n)
+				}
+				s.Close()
+			}
+			// One untimed warmup, as in BenchmarkReplay.
+			open(fresh())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs := fresh()
+				b.StartTimer()
+				open(fs)
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshotEncode measures snapshot serialization, the other half
 // of the recovery cost model (write amplification per compaction).
 func BenchmarkSnapshotEncode(b *testing.B) {
 	gen, recs := benchLog(10_000)
-	st, err := replayState(gen, recs, nil)
+	st, err := replay(gen, recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ type Metrics struct {
 	SnapshotBytes    *obs.Gauge   // size of the newest snapshot file
 	SnapshotDuration *obs.Stat    // seconds per snapshot compaction
 
-	RecoveryReplay  *obs.Stat    // seconds spent replaying the log at open
+	RecoveryReplay  *obs.Stat    // seconds of the one-pass recovery at open (read, decode, apply)
 	RecoveryRecords *obs.Counter // log records replayed at open
 	TornTails       *obs.Counter // recoveries that stopped at a torn tail
 	Poisoned        *obs.Gauge   // 1 when the store refused further writes
@@ -40,7 +40,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	reg.Describe("durable_snapshots", "durable snapshots written (including at open)")
 	reg.Describe("durable_snapshot_bytes", "size in bytes of the newest snapshot file")
 	reg.Describe("durable_snapshot_seconds", "seconds per snapshot compaction")
-	reg.Describe("durable_recovery_replay_seconds", "seconds replaying the WAL at open")
+	reg.Describe("durable_recovery_replay_seconds", "seconds of the one-pass WAL recovery at open: read, decode and apply")
 	reg.Describe("durable_recovery_records", "WAL records replayed at open")
 	reg.Describe("durable_torn_tails", "recoveries that stopped at a torn or corrupt log tail")
 	reg.Describe("durable_poisoned", "1 when the store has refused further writes after an I/O error")

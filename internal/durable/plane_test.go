@@ -303,3 +303,49 @@ func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
 		t.Fatalf("capacity move lost in recovery: %v (procs before %v)", err, before)
 	}
 }
+
+// TestPlaneChainLimitAgreesWithRecovery: the live plane refuses a job with
+// more than core.MaxChains chains without journaling anything, and admits
+// one with exactly core.MaxChains chains whose last chain is the only one
+// that fits; that grant's chain index recovers.  Live admission and replay
+// share the limit, so no acknowledged grant can make the log unrecoverable.
+func TestPlaneChainLimitAgreesWithRecovery(t *testing.T) {
+	tight := core.Chain{Tasks: []core.Task{{Procs: 1, Duration: 10, Deadline: 1}}}
+	fits := core.Chain{Tasks: []core.Task{{Procs: 1, Duration: 1, Deadline: 10}}}
+	job := func(id, chains int) core.Job {
+		j := core.Job{ID: id, Chains: make([]core.Chain, chains)}
+		for i := range j.Chains {
+			j.Chains[i] = tight
+		}
+		j.Chains[chains-1] = fits
+		return j
+	}
+	for _, shards := range []int{1, 2} {
+		mem := vfs.NewMem()
+		p, _ := openPlane(t, mem, shards, StoreOptions{})
+		lsn := p.DurableLSN()
+		if _, err := p.Negotiate(job(1, core.MaxChains+1)); err == nil || errors.Is(err, qos.ErrRejected) {
+			t.Fatalf("shards=%d: job over the chain limit: err = %v, want a validation error", shards, err)
+		}
+		if got := p.DurableLSN(); got != lsn {
+			t.Fatalf("shards=%d: refused job journaled (LSN %d -> %d)", shards, lsn, got)
+		}
+		g, err := p.Negotiate(job(2, core.MaxChains))
+		if err != nil {
+			t.Fatalf("shards=%d: job at the chain limit: %v", shards, err)
+		}
+		if g.Chain != core.MaxChains-1 {
+			t.Fatalf("shards=%d: chose chain %d, want the last, %d", shards, g.Chain, core.MaxChains-1)
+		}
+		want := p.ExportState()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		p2, rec := openPlane(t, mem, shards, StoreOptions{})
+		got := p2.ExportState()
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("shards=%d: recovered state diverged: %v (recovery %+v)", shards, err, rec)
+		}
+		p2.Close()
+	}
+}

@@ -343,12 +343,17 @@ func writeFrame(w io.Writer, payload []byte) (int, error) {
 	return 8 + n, err
 }
 
-// readFrame reads one frame from r.  io.EOF means a clean end; any other
-// error (truncation mid-frame, length over limit, checksum mismatch) means
-// the tail is torn or corrupt.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame from r into buf's backing array (allocating
+// only when a frame outgrows it) and returns the payload, which aliases
+// that array: it is valid until the next call that reuses the buffer.
+// io.EOF means a clean end; any other error (truncation mid-frame, length
+// over limit, checksum mismatch) means the tail is torn or corrupt.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 8 {
+		buf = make([]byte, 8, 512)
+	}
+	hdr := buf[:8]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -359,7 +364,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if length > maxFramePayload {
 		return nil, fmt.Errorf("durable: frame length %d exceeds limit %d", length, maxFramePayload)
 	}
-	payload := make([]byte, length)
+	if int(length) > cap(buf) {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("durable: torn frame payload: %w", err)
 	}

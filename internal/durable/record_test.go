@@ -85,7 +85,7 @@ func TestFrameRoundTripAndTorn(t *testing.T) {
 	data := buf.Bytes()
 	r := bytes.NewReader(data)
 	for i, want := range payloads {
-		got, err := readFrame(r)
+		got, err := readFrame(r, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -93,16 +93,16 @@ func TestFrameRoundTripAndTorn(t *testing.T) {
 			t.Fatalf("frame %d: got %q want %q", i, got, want)
 		}
 	}
-	if _, err := readFrame(r); err != io.EOF {
+	if _, err := readFrame(r, nil); err != io.EOF {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
 
 	// A frame cut mid-payload is torn, not EOF.
 	r = bytes.NewReader(data[:len(data)-9-2]) // into frame 2's header
-	if _, err := readFrame(r); err != nil {
+	if _, err := readFrame(r, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(r); err == nil || err == io.EOF {
+	if _, err := readFrame(r, nil); err == nil || err == io.EOF {
 		t.Fatalf("torn frame: got %v", err)
 	}
 
@@ -110,7 +110,7 @@ func TestFrameRoundTripAndTorn(t *testing.T) {
 	flipped := append([]byte(nil), data...)
 	flipped[9] ^= 0x01 // first byte of frame 1's payload
 	r = bytes.NewReader(flipped)
-	if _, err := readFrame(r); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := readFrame(r, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("bit flip: got %v", err)
 	}
 }

@@ -83,14 +83,21 @@ func Genesis(procs, shards int, origin float64) (State, error) {
 // before Now) and sorts the survivors by job ID.  Called before every
 // snapshot so the grant set stays bounded by concurrency, not by history.
 func (s *State) Prune() {
+	s.dropElapsed()
+	sort.Slice(s.Grants, func(i, j int) bool { return s.Grants[i].JobID < s.Grants[j].JobID })
+}
+
+// dropElapsed drops grants whose reservations have fully elapsed, keeping
+// the survivors in order.
+func (s *State) dropElapsed() {
 	live := s.Grants[:0]
 	for _, g := range s.Grants {
 		if g.Finish() > s.Now {
 			live = append(live, g)
 		}
 	}
+	clear(s.Grants[len(live):]) // release the dropped grants' task slices
 	s.Grants = live
-	sort.Slice(s.Grants, func(i, j int) bool { return s.Grants[i].JobID < s.Grants[j].JobID })
 }
 
 // Procs returns the plane's total processor count.

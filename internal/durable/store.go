@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -98,7 +99,9 @@ type Recovered struct {
 	// Torn reports whether recovery stopped at a torn or corrupt log
 	// tail (everything before the tear is recovered; nothing after is).
 	Torn bool
-	// ReplayDuration is the wall-clock time spent replaying records.
+	// ReplayDuration is the wall-clock time of the whole recovery pass:
+	// loading the snapshot, then reading, decoding and applying every log
+	// record in one stream.  It excludes the compaction Open runs after.
 	ReplayDuration time.Duration
 }
 
@@ -173,26 +176,14 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 	}
 	s := &Store{fs: cfg.FS, dir: cfg.Dir, opts: cfg.Store.withDefaults(), core: cfg.Options, met: cfg.Metrics}
 
-	base, snapLSN, recs, torn, err := s.load(cfg.Genesis)
+	rec, err := s.recover(cfg.Genesis)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
-	replayStart := time.Now()
-	st, err := replayState(base, recs, cfg.Options)
-	if err != nil {
-		return nil, Recovered{}, fmt.Errorf("durable: replay: %w", err)
-	}
-	rec := Recovered{
-		State:          st,
-		SnapshotLSN:    snapLSN,
-		Records:        len(recs),
-		Torn:           torn,
-		ReplayDuration: time.Since(replayStart),
-	}
 	if s.met != nil {
 		s.met.RecoveryReplay.Observe(rec.ReplayDuration.Seconds())
-		s.met.RecoveryRecords.Add(int64(len(recs)))
-		if torn {
+		s.met.RecoveryRecords.Add(int64(rec.Records))
+		if rec.Torn {
 			s.met.TornTails.Inc()
 		}
 	}
@@ -201,6 +192,7 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 	// drop everything else, start a fresh segment.  Until the snapshot's
 	// SyncDir lands, the old snapshot+log remain the durable prefix and a
 	// crash replays to the identical state.
+	st := rec.State
 	s.nextLSN = st.LSN + 1
 	s.durableLSN = st.LSN
 	snapSt := st
@@ -212,14 +204,19 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 	return s, rec, nil
 }
 
-// load finds the newest valid snapshot and the contiguous record run after
-// it.  A torn or corrupt frame, an LSN gap, or a bad segment header ends
-// the run: the durable prefix property says everything before is state,
-// everything after is noise.
-func (s *Store) load(genesis State) (base State, snapLSN uint64, recs []Record, torn bool, err error) {
+// recover rebuilds the durable state in one streaming pass: the newest
+// valid snapshot, then the contiguous record run after it, read through one
+// reused buffered reader and applied to the replay schedulers frame by
+// frame — no record outlives its own apply.  Each frame is checked before
+// it is applied (length limit, CRC32C, strict decode, LSN contiguity).  A
+// torn or corrupt frame, an LSN gap, a bad segment header or an unreadable
+// segment ends the run: the durable prefix property says everything before
+// is state, everything after is noise.  An apply error fails recovery.
+func (s *Store) recover(genesis State) (Recovered, error) {
+	start := time.Now()
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return State{}, 0, nil, false, fmt.Errorf("durable: read log dir: %w", err)
+		return Recovered{}, fmt.Errorf("durable: read log dir: %w", err)
 	}
 	var snaps, segs []uint64
 	for _, name := range names {
@@ -232,63 +229,76 @@ func (s *Store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
-	base = genesis
+	var out Recovered
+	base := genesis
 	for _, lsn := range snaps {
 		st, serr := s.readSnapshot(filepath.Join(s.dir, snapName(lsn)))
 		if serr != nil || st.LSN != lsn {
 			continue // corrupt or half-written snapshot: fall back to an older one
 		}
-		base, snapLSN = st, lsn
+		base, out.SnapshotLSN = st, lsn
 		break
 	}
+	rp, err := newReplayer(base, s.core)
+	if err != nil {
+		return Recovered{}, fmt.Errorf("durable: replay: %w", err)
+	}
 
-	expect := base.LSN + 1
+	br := bufio.NewReaderSize(nil, 32<<10) // the largest size Go allocates as a small object
 	for _, first := range segs {
-		data, serr := s.readFile(filepath.Join(s.dir, segName(first)))
+		f, serr := s.fs.Open(filepath.Join(s.dir, segName(first)))
 		if serr != nil {
-			torn = true
+			out.Torn = true
 			break
 		}
-		r := bytes.NewReader(data)
-		hdrFirst, serr := readSegHeader(r)
-		if serr != nil || hdrFirst != first {
-			torn = true
-			break
+		br.Reset(f)
+		clean, err := rp.replaySegment(br, first)
+		f.Close()
+		if err != nil {
+			return Recovered{}, fmt.Errorf("durable: replay: %w", err)
 		}
-		if first > expect {
-			torn = true // gap between segments: a whole segment is missing
-			break
-		}
-		bad := false
-		for {
-			payload, ferr := readFrame(r)
-			if ferr == io.EOF {
-				break
-			}
-			if ferr != nil {
-				torn, bad = true, true
-				break
-			}
-			rec, derr := DecodeRecord(payload)
-			if derr != nil {
-				torn, bad = true, true
-				break
-			}
-			if rec.LSN < expect {
-				continue // already covered by the snapshot or a prior segment
-			}
-			if rec.LSN > expect {
-				torn, bad = true, true
-				break
-			}
-			recs = append(recs, rec)
-			expect++
-		}
-		if bad {
+		if !clean {
+			out.Torn = true
 			break
 		}
 	}
-	return base, snapLSN, recs, torn, nil
+	out.State = rp.state()
+	out.Records = rp.applied
+	out.ReplayDuration = time.Since(start)
+	return out, nil
+}
+
+// replaySegment streams one segment's records into the replayer and
+// reports whether the segment ended cleanly: a bad header, a segment
+// starting past the expected LSN (a whole segment is missing), or a torn,
+// corrupt or out-of-order frame ends it uncleanly.  The error is non-nil
+// only when applying a valid record failed.
+func (rp *replayer) replaySegment(r io.Reader, first uint64) (bool, error) {
+	expect := rp.st.LSN + 1
+	if hdrFirst, err := readSegHeader(r); err != nil || hdrFirst != first || first > expect {
+		return false, nil
+	}
+	for {
+		payload, err := readFrame(r, rp.frame)
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, nil
+		}
+		rp.frame = payload
+		rec, err := DecodeRecord(payload)
+		if err != nil || rec.LSN > expect {
+			return false, nil
+		}
+		if rec.LSN < expect {
+			continue // already covered by the snapshot or a prior segment
+		}
+		if err := rp.apply(&rec); err != nil {
+			return false, err
+		}
+		expect++
+	}
 }
 
 func (s *Store) readFile(path string) ([]byte, error) {
@@ -319,7 +329,7 @@ func (s *Store) readSnapshot(path string) (State, error) {
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
 		return State{}, fmt.Errorf("durable: snapshot format version %d (want %d)", v, formatVersion)
 	}
-	payload, err := readFrame(r)
+	payload, err := readFrame(r, nil)
 	if err != nil {
 		return State{}, err
 	}
@@ -540,40 +550,69 @@ func (s *Store) Close() error {
 	return err
 }
 
-// replayState rebuilds schedulers from base and applies recs in log order,
-// returning the resulting state.  Replay applies committed decisions
-// verbatim — it never re-plans — so the result is bit-exact.
-func replayState(base State, recs []Record, opts *core.Options) (State, error) {
+// replayer applies committed records, in log order, to schedulers rebuilt
+// from a base state.  It is recovery's one applier: Open streams records
+// into it as they are read, and BenchmarkReplay feeds it directly.  Replay
+// applies committed decisions verbatim — it never re-plans — so the result
+// is bit-exact.
+type replayer struct {
+	st      State
+	scheds  []*core.Scheduler
+	applied int
+	frame   []byte // frame buffer reused across every segment's reads
+}
+
+func newReplayer(base State, opts *core.Options) (*replayer, error) {
+	// Replay schedulers are exported and discarded, never probed, so they
+	// carry no segment-tree index: with one, every ReplayCommit would pay a
+	// full index rebuild.  The linear path answers bit-identically.
+	var o core.Options
+	if opts != nil {
+		o = *opts
+	}
+	o.ProfileIndex = core.ProfileIndexOff
 	scheds := make([]*core.Scheduler, len(base.Shards))
 	for i, sh := range base.Shards {
-		sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, opts)
+		sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, &o)
 		if err := sc.RestoreState(sh); err != nil {
-			return State{}, fmt.Errorf("shard %d: %w", i, err)
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		scheds[i] = sc
 	}
-	st := State{
-		LSN:    base.LSN,
-		Now:    base.Now,
-		Grants: append([]GrantRecord(nil), base.Grants...),
-	}
-	for i := range recs {
-		if err := applyRecord(&st, scheds, &recs[i]); err != nil {
-			return State{}, fmt.Errorf("record lsn=%d kind=%s: %w", recs[i].LSN, recs[i].Kind, err)
-		}
-		st.LSN = recs[i].LSN
-	}
-	st.Shards = make([]core.SchedulerState, len(scheds))
-	for i, sc := range scheds {
-		st.Shards[i] = sc.ExportState()
-	}
-	// Mirror the live plane, which drops elapsed grants as its clock
-	// advances: prune by the final recovered clock.
-	st.Prune()
-	return st, nil
+	return &replayer{
+		st: State{
+			LSN:    base.LSN,
+			Now:    base.Now,
+			Grants: append([]GrantRecord(nil), base.Grants...),
+		},
+		scheds: scheds,
+	}, nil
 }
 
-func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
+// state exports the replayed state, grants sorted by job ID.
+func (rp *replayer) state() State {
+	st := rp.st
+	st.Shards = make([]core.SchedulerState, len(rp.scheds))
+	for i, sc := range rp.scheds {
+		st.Shards[i] = sc.ExportState()
+	}
+	st.Prune()
+	return st
+}
+
+// apply applies one record.  The grant an admit or renegotiation creates
+// takes the record's Tasks slice, which must not be modified afterwards.
+func (rp *replayer) apply(r *Record) error {
+	if err := rp.applyKind(r); err != nil {
+		return fmt.Errorf("record lsn=%d kind=%s: %w", r.LSN, r.Kind, err)
+	}
+	rp.st.LSN = r.LSN
+	rp.applied++
+	return nil
+}
+
+func (rp *replayer) applyKind(r *Record) error {
+	st, scheds := &rp.st, rp.scheds
 	shardOK := func() error {
 		if r.Shard < 0 || r.Shard >= len(scheds) {
 			return fmt.Errorf("shard %d out of range (%d shards)", r.Shard, len(scheds))
@@ -587,6 +626,9 @@ func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
 				sc.Observe(r.Now)
 			}
 			st.Now = r.Now
+			// Drop elapsed grants as the live plane's Observe does, so the
+			// set stays bounded by concurrency, not by the log's length.
+			st.dropElapsed()
 		}
 	case KindCapacity:
 		if err := shardOK(); err != nil {
@@ -599,6 +641,12 @@ func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
 		if err := shardOK(); err != nil {
 			return err
 		}
+		// The live plane admits only jobs with at most core.MaxChains
+		// paths, so a larger index can only come from a corrupt record; it
+		// would size the per-chain counters.
+		if r.Chain < 0 || r.Chain >= core.MaxChains {
+			return fmt.Errorf("chain %d out of range", r.Chain)
+		}
 		pl := &core.Placement{JobID: r.JobID, Chain: r.Chain, Tasks: r.Tasks}
 		if err := scheds[r.Shard].ReplayCommit(pl, r.Quality, r.Tunable); err != nil {
 			return err
@@ -607,7 +655,7 @@ func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
 			JobID: r.JobID, Shard: r.Shard, Chain: r.Chain,
 			Quality: r.Quality, Tunable: r.Tunable,
 			Tenant: r.Tenant, Class: r.Class,
-			Tasks: append([]core.TaskPlacement(nil), r.Tasks...),
+			Tasks: r.Tasks,
 		}
 		if r.Kind == KindRenegotiate {
 			for i := range st.Grants {
