@@ -70,10 +70,10 @@ type op struct {
 	job     core.Job
 }
 
-// genOps builds the deterministic op stream for a seed.  Capacity ops
-// ride the federated rebalancer, so they are only emitted on sharded
-// (shards > 1) planes; the stream is a pure function of (n, seed,
-// shards).
+// genOps builds the deterministic op stream for a seed, a pure function
+// of (n, seed, shards).  Capacity ops are emitted only on sharded
+// (shards > 1) planes, which keeps the op streams of pinned one-shard
+// seeds, and so their recorded results, stable.
 func genOps(n int, seed int64, shards int) []op {
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	arr := workload.NewPoisson(6, seed)
@@ -339,12 +339,10 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 			// Capacity oracle: the recovered pool must be the seed
 			// capacity plus exactly the committed grow ops — a capacity
 			// record lost or double-applied in replay shifts the total.
-			if cfg.shards > 1 {
-				wantProcs := cfg.procs + growsIn(ops, m)
-				if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
-					return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-						"recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
-				}
+			wantProcs := cfg.procs + growsIn(ops, m)
+			if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
+				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
+					"recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
 			}
 
 			// Grant-loss accounting: acked, still pending, absent.
@@ -525,11 +523,9 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		if err := durable.DiffStates(&got, &want); err != nil {
 			return fail(k, "recovered state diverged from reference at lsn %d: %v", m, err)
 		}
-		if shards > 1 {
-			wantProcs := 16 + growsIn(ops, m)
-			if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
-				return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
-			}
+		wantProcs := 16 + growsIn(ops, m)
+		if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
+			return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
 		}
 		if err := plane.Close(); err != nil {
 			return fail(k, "close: %v", err)

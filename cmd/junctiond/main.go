@@ -448,15 +448,7 @@ type telemetryConfig struct {
 // utilization ledger.
 func serveTelemetry(observer *obs.Observer, ld *ledger.Ledger, plane *durable.Plane, eng *slo.Engine, lp *latency.Plane, cfg telemetryConfig) (*telemetry.Exporter, error) {
 	const horizon = 1e6 // effectively unbounded frontier window
-	headroom := func() core.Headroom {
-		if f := plane.Fed(); f != nil {
-			return f.Headroom(horizon)
-		}
-		if m := plane.Mono(); m != nil {
-			return m.Headroom(horizon)
-		}
-		return core.Headroom{}
-	}
+	headroom := func() core.Headroom { return plane.Fed().Headroom(horizon) }
 	var ledgerFn func() *ledger.Snapshot
 	if ld != nil {
 		ledgerFn = ld.Snapshot

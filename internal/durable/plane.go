@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
@@ -25,8 +24,10 @@ type Config struct {
 	// Procs is the machine size used when the directory holds no prior
 	// state (required); a recovered plane keeps its recovered shape.
 	Procs int
-	// Shards is the number of admission shards (default 1 = monolithic
-	// qos.Arbitrator; more = federated plane).
+	// Shards is the number of admission shards of the federated plane
+	// (default 1).  One shard with ProbeK 1 decides bitwise what the
+	// monolithic qos.Arbitrator decides (the fed package's differential
+	// anchor), so the capacity API works at every shard count.
 	Shards int
 	// ProbeK is the federated router's probe fan-out (fed.Config.ProbeK).
 	ProbeK int
@@ -46,16 +47,15 @@ type Config struct {
 	// spans (route/plan/reserve); the durability layer itself reports
 	// through Metrics.
 	Tracer *obs.Tracer
-	// KeepHistory and Observer pass through to the wrapped arbitrator.
+	// KeepHistory and Observer pass through to the federated arbitrator.
 	KeepHistory bool
 	Observer    func(qos.Decision)
 }
 
-// Plane is a durable admission plane: a qos.Arbitrator (one shard) or
-// fed.Arbitrator (many) whose every committed decision is journaled to a
-// write-ahead log before it is acknowledged.  It implements the same
-// agent-facing surface (qosnet.Arbitrator), so servers and workloads run
-// against it unchanged.
+// Plane is a durable admission plane: a fed.Arbitrator, at every shard
+// count, whose every committed decision is journaled to a write-ahead log
+// before it is acknowledged.  It implements the same agent-facing surface
+// (qosnet.Arbitrator), so servers and workloads run against it unchanged.
 //
 // The plane serializes decisions under one lock: the log order IS the
 // decision order, which is what makes replay-on-open recovery bit-exact.
@@ -64,7 +64,6 @@ type Config struct {
 type Plane struct {
 	mu    sync.Mutex
 	store *Store
-	mono  *qos.Arbitrator
 	fed   *fed.Arbitrator
 	shed  *qos.Shedder
 	now   float64
@@ -109,38 +108,22 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) {
 	for _, g := range st.Grants {
 		p.grants[g.JobID] = g
 	}
-	if len(st.Shards) == 1 {
-		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{
-			Procs: st.Shards[0].Profile.Capacity, Origin: cfg.Origin,
-			Options: cfg.Options, KeepHistory: cfg.KeepHistory, Observer: cfg.Observer,
-		})
-		if err != nil {
-			store.Close()
-			return nil, Recovered{}, err
-		}
-		if err := arb.RestoreState(qos.ArbitratorState{Now: st.Now, Sched: st.Shards[0]}); err != nil {
-			store.Close()
-			return nil, Recovered{}, fmt.Errorf("durable: restore arbitrator: %w", err)
-		}
-		p.mono = arb
-	} else {
-		fa, err := fed.New(fed.Config{
-			Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
-			Origin: cfg.Origin, Options: cfg.Options,
-			KeepHistory: cfg.KeepHistory, Observer: cfg.Observer,
-			Tracer:        cfg.Tracer,
-			OnShardResize: p.onShardResize,
-		})
-		if err != nil {
-			store.Close()
-			return nil, Recovered{}, err
-		}
-		if err := fa.RestoreState(fed.PlaneState{Now: st.Now, Shards: st.Shards}); err != nil {
-			store.Close()
-			return nil, Recovered{}, fmt.Errorf("durable: restore plane: %w", err)
-		}
-		p.fed = fa
+	fa, err := fed.New(fed.Config{
+		Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
+		Origin: cfg.Origin, Options: cfg.Options,
+		KeepHistory: cfg.KeepHistory, Observer: cfg.Observer,
+		Tracer:        cfg.Tracer,
+		OnShardResize: p.onShardResize,
+	})
+	if err != nil {
+		store.Close()
+		return nil, Recovered{}, err
 	}
+	if err := fa.RestoreState(fed.PlaneState{Now: st.Now, Shards: st.Shards}); err != nil {
+		store.Close()
+		return nil, Recovered{}, fmt.Errorf("durable: restore plane: %w", err)
+	}
+	p.fed = fa
 	if cfg.Shed != nil {
 		// The shedder's own accounting (in-flight areas, fairness clocks)
 		// is rebuilt empty at open: it is a rate controller, not durable
@@ -171,12 +154,7 @@ func (p *Plane) onShardResize(shard, procs int) {
 	_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: shard, Procs: procs})
 }
 
-// errMono is returned by the capacity API on a 1-shard plane: capacity
-// management rides the federated rebalancer, which a monolithic plane
-// does not have.
-var errMono = errors.New("durable: capacity management requires a sharded plane (Shards > 1)")
-
-// SetTotalCapacity resizes the sharded plane toward total processors
+// SetTotalCapacity resizes the plane toward total processors
 // under the plane lock, journaling one KindCapacity record per
 // single-processor shard resize (the fed rebalancer's unit of work), so
 // recovery reconstructs the exact post-resize shard shapes.  Growth
@@ -186,9 +164,6 @@ var errMono = errors.New("durable: capacity management requires a sharded plane 
 func (p *Plane) SetTotalCapacity(total int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fed == nil {
-		return 0, errMono
-	}
 	if err := p.store.Poisoned(); err != nil {
 		return p.fed.Procs(), fmt.Errorf("durable: plane poisoned, reopen required: %w", err)
 	}
@@ -203,9 +178,6 @@ func (p *Plane) SetTotalCapacity(total int) (int, error) {
 func (p *Plane) Rebalance(maxMoves int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fed == nil {
-		return 0, errMono
-	}
 	if err := p.store.Poisoned(); err != nil {
 		return 0, fmt.Errorf("durable: plane poisoned, reopen required: %w", err)
 	}
@@ -220,34 +192,15 @@ func (p *Plane) Rebalance(maxMoves int) (int, error) {
 // processors; 0 follows every change) and runs a rebalancing pass —
 // with every resize journaled, so a crash between broker events
 // recovers the exact capacity the live pool had.  The returned stop
-// function detaches the subscription's effect.
-func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func(), err error) {
-	if p.fed == nil {
-		return nil, errMono
-	}
-	var stopped atomic.Bool
-	last := p.fed.Procs()
-	b.Subscribe(func(ev resbroker.Event) {
-		if stopped.Load() {
-			return
-		}
-		if ev.Kind != resbroker.EventRegistered && ev.Kind != resbroker.EventDeregistered {
-			return
-		}
-		procs := b.TotalProcs()
-		if procs < 1 {
-			return
-		}
-		if diff := procs - last; diff < threshold && diff > -threshold {
-			return
-		}
-		last = procs
+// function detaches the subscription's effect (see
+// resbroker.Broker.Follow).
+func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
+	return b.Follow(p.Procs(), threshold, func(procs int) {
 		if _, err := p.SetTotalCapacity(procs); err != nil {
 			return // partial shrink or poisoned plane; next event retries
 		}
 		_, _ = p.Rebalance(0)
 	})
-	return func() { stopped.Store(true) }, nil
 }
 
 // Err returns the store's poison error, if any: non-nil means an append
@@ -301,84 +254,56 @@ func (p *Plane) NegotiateTimed(job core.Job, lrec *phase.Rec) (*qos.Grant, error
 }
 
 func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, error) {
-	var g *qos.Grant
-	var err error
-	if p.mono != nil {
-		g, err = p.mono.NegotiateTimed(job, lrec)
-	} else {
-		g, err = p.fed.NegotiateTimed(job, lrec)
-	}
-	if err != nil {
-		if errors.Is(err, qos.ErrRejected) {
-			// Rejections count on shard 0 in the journal; per-shard
-			// rejection attribution is diagnostics, not durable state
-			// (the oracle compares plane-merged counters).
-			rec := &Record{Kind: KindReject, JobID: job.ID, Tenant: job.Tenant, Class: job.Class}
-			if _, aerr := p.store.Append(rec); aerr != nil {
-				return nil, aerr
-			}
-			lrec.Mark(phase.Journal)
-			p.maybeSnapshotLocked()
-		}
-		return nil, err
-	}
-	rec := &Record{
-		Kind: KindAdmit, Shard: g.Shard,
-		JobID: g.JobID, Chain: g.Chain,
-		Quality: g.Quality, Tunable: job.Tunable(),
-		Tenant: job.Tenant, Class: job.Class,
-		Tasks: g.Placement.Tasks,
-	}
-	if _, aerr := p.store.Append(rec); aerr != nil {
-		return nil, fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", g.JobID, aerr)
-	}
-	lrec.Mark(phase.Journal)
-	p.grants[g.JobID] = GrantRecord{
-		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
-		Quality: g.Quality, Tunable: job.Tunable(),
-		Tenant: job.Tenant, Class: job.Class,
-		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
-	}
-	p.maybeSnapshotLocked()
-	return g, nil
+	g, err := p.fed.NegotiateTimed(job, lrec)
+	return p.journalLocked(&Record{JobID: job.ID, Tunable: job.Tunable(), Tenant: job.Tenant, Class: job.Class}, g, err, lrec)
 }
 
-// NegotiateDAG runs DAG admission control, journaling grants.  DAG
-// rejections are not journaled (like the planner's work counters they are
-// diagnostics; replay does not reconstruct them).
+// NegotiateDAG runs DAG admission control and journals the outcome
+// exactly as Negotiate does: the scheduler counts DAG rejections too, so
+// replay must see them to rebuild the same counters.
 func (p *Plane) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.store.Poisoned(); err != nil {
 		return nil, fmt.Errorf("durable: plane poisoned, reopen required: %w", err)
 	}
-	var g *qos.Grant
-	var err error
-	if p.mono != nil {
-		g, err = p.mono.NegotiateDAG(job)
-	} else {
-		g, err = p.fed.NegotiateDAG(job)
-	}
-	if err != nil {
+	g, err := p.fed.NegotiateDAG(job)
+	return p.journalLocked(&Record{JobID: job.ID, Tunable: len(job.Alts) > 1}, g, err, nil)
+}
+
+// journalLocked journals the outcome of the decision the arbitrator just
+// made for the job r describes (JobID, Tunable, Tenant, Class): a grant
+// as an admit record plus an entry in the live grant set, a rejection as
+// a reject record; other errors (an invalid job) journal nothing.  A
+// grant is returned only once its record reached the log; a failed
+// append poisons the plane and the grant is never acknowledged.
+func (p *Plane) journalLocked(r *Record, g *qos.Grant, err error, lrec *phase.Rec) (*qos.Grant, error) {
+	switch {
+	case err == nil:
+		r.Kind, r.Shard, r.Chain, r.Quality, r.Tasks = KindAdmit, g.Shard, g.Chain, g.Quality, g.Placement.Tasks
+		if _, aerr := p.store.Append(r); aerr != nil {
+			return nil, fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", g.JobID, aerr)
+		}
+		p.grants[g.JobID] = GrantRecord{
+			JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
+			Quality: g.Quality, Tunable: r.Tunable,
+			Tenant: r.Tenant, Class: r.Class,
+			Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
+		}
+	case errors.Is(err, qos.ErrRejected):
+		// Rejections count on shard 0 in the journal; per-shard
+		// rejection attribution is diagnostics, not durable state (the
+		// oracle compares plane-merged counters).
+		r.Kind = KindReject
+		if _, aerr := p.store.Append(r); aerr != nil {
+			return nil, aerr
+		}
+	default:
 		return nil, err
 	}
-	tunable := len(job.Alts) > 1
-	rec := &Record{
-		Kind: KindAdmit, Shard: g.Shard,
-		JobID: g.JobID, Chain: g.Chain,
-		Quality: g.Quality, Tunable: tunable,
-		Tasks: g.Placement.Tasks,
-	}
-	if _, aerr := p.store.Append(rec); aerr != nil {
-		return nil, fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", g.JobID, aerr)
-	}
-	p.grants[g.JobID] = GrantRecord{
-		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
-		Quality: g.Quality, Tunable: tunable,
-		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
-	}
+	lrec.Mark(phase.Journal)
 	p.maybeSnapshotLocked()
-	return g, nil
+	return g, err
 }
 
 // Observe advances the plane's clock, journaling the advance so replay
@@ -398,11 +323,7 @@ func (p *Plane) Observe(now float64) {
 		}
 	}
 	p.shed.Observe(now)
-	if p.mono != nil {
-		p.mono.Observe(now)
-	} else {
-		p.fed.Observe(now)
-	}
+	p.fed.Observe(now)
 	if _, err := p.store.Append(&Record{Kind: KindObserve, Now: now}); err != nil {
 		return
 	}
@@ -454,14 +375,7 @@ func (p *Plane) Snapshot() error {
 }
 
 func (p *Plane) exportStateLocked() State {
-	st := State{LSN: p.store.NextLSN() - 1, Now: p.now}
-	if p.mono != nil {
-		as := p.mono.ExportState()
-		st.Shards = []core.SchedulerState{as.Sched}
-	} else {
-		fs := p.fed.ExportState()
-		st.Shards = fs.Shards
-	}
+	st := State{LSN: p.store.NextLSN() - 1, Now: p.now, Shards: p.fed.ExportState().Shards}
 	st.Grants = make([]GrantRecord, 0, len(p.grants))
 	for _, g := range p.grants {
 		st.Grants = append(st.Grants, g)
@@ -493,9 +407,6 @@ func (p *Plane) Grants() []GrantRecord {
 func (p *Plane) Stats() core.Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Stats()
-	}
 	return p.fed.Stats()
 }
 
@@ -503,9 +414,6 @@ func (p *Plane) Stats() core.Stats {
 func (p *Plane) Utilization(origin, horizon float64) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Utilization(origin, horizon)
-	}
 	return p.fed.Utilization(origin, horizon)
 }
 
@@ -520,9 +428,6 @@ func (p *Plane) Now() float64 {
 func (p *Plane) Procs() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Procs()
-	}
 	return p.fed.Procs()
 }
 
@@ -536,10 +441,7 @@ func (p *Plane) DurableLSN() uint64 {
 // Shedder returns the wrapped shedder, or nil.
 func (p *Plane) Shedder() *qos.Shedder { return p.shed }
 
-// Mono returns the wrapped monolithic arbitrator (nil on a sharded plane).
-func (p *Plane) Mono() *qos.Arbitrator { return p.mono }
-
-// Fed returns the wrapped federated arbitrator (nil on a 1-shard plane).
+// Fed returns the wrapped federated arbitrator (one shard or many).
 func (p *Plane) Fed() *fed.Arbitrator { return p.fed }
 
 // Close closes the log.  Unsynced records follow the sync policy's fate;

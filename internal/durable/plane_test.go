@@ -349,3 +349,41 @@ func TestPlaneChainLimitAgreesWithRecovery(t *testing.T) {
 		p2.Close()
 	}
 }
+
+// TestPlaneDAGDecisionsRecover: DAG admissions and rejections are
+// journaled like chain decisions, so a reopened plane rebuilds the same
+// grants and the same admission counters — the scheduler counts a DAG
+// rejection, and replay must too.
+func TestPlaneDAGDecisionsRecover(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		mem := vfs.NewMem()
+		p, _ := openPlane(t, mem, shards, StoreOptions{SnapshotEvery: 32})
+		var admitted, rejected int
+		for _, job := range planeStream(90, 37) {
+			p.Observe(job.Release)
+			dj := core.DAGJob{ID: job.ID, Release: job.Release}
+			for _, c := range job.Chains {
+				dj.Alts = append(dj.Alts, c.DAG())
+			}
+			switch _, err := p.NegotiateDAG(dj); {
+			case err == nil:
+				admitted++
+			case errors.Is(err, qos.ErrRejected):
+				rejected++
+			default:
+				t.Fatalf("shards=%d: dag job %d: %v", shards, dj.ID, err)
+			}
+		}
+		if admitted == 0 || rejected == 0 {
+			t.Fatalf("shards=%d: degenerate stream (admitted=%d rejected=%d)", shards, admitted, rejected)
+		}
+		want := p.ExportState()
+		mem.Crash()
+		p2, _ := openPlane(t, mem, shards, StoreOptions{SnapshotEvery: 32})
+		got := p2.ExportState()
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("shards=%d: DAG decisions lost in recovery: %v", shards, err)
+		}
+		p2.Close()
+	}
+}

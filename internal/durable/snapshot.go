@@ -42,8 +42,7 @@ type State struct {
 	LSN uint64
 	// Now is the plane's observed clock.
 	Now float64
-	// Shards holds one scheduler state per shard (one entry for the
-	// monolith).
+	// Shards holds one scheduler state per shard, in shard order.
 	Shards []core.SchedulerState
 	// Grants is the live grant set, sorted by job ID.
 	Grants []GrantRecord

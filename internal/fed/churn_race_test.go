@@ -148,3 +148,53 @@ func TestAttachBrokerStopDetaches(t *testing.T) {
 		t.Fatalf("detached plane resized to %d procs", got)
 	}
 }
+
+// TestAttachBrokerStopRacesChurn: stop() may be called from any goroutine
+// while the broker is still delivering pool events.  Run under -race this
+// is the probe for the detach flag (a plain bool written by stop and read
+// by the delivering goroutine was a data race); afterwards the plane must
+// ignore further pool changes.
+func TestAttachBrokerStopRacesChurn(t *testing.T) {
+	plane, err := New(Config{Procs: 16, Shards: 2, ProbeK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := resbroker.New(nil)
+	if err := broker.Register(resbroker.Resource{ID: "base", Procs: 16, Speed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stop := plane.Rebalancer().AttachBroker(broker, 0)
+
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			id := fmt.Sprintf("churn-%d", c)
+			for i := 0; i < 50; i++ {
+				if err := broker.Register(resbroker.Resource{ID: id, Procs: 2, Speed: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := broker.Deregister(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		stop()
+	}()
+	wg.Wait()
+
+	before := plane.Procs()
+	if err := broker.Register(resbroker.Resource{ID: "late", Procs: 8, Speed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := plane.Procs(); got != before {
+		t.Fatalf("detached plane resized from %d to %d procs", before, got)
+	}
+}

@@ -28,11 +28,33 @@ func smallStream(n int, meanGap float64, seed int64) []core.Job {
 	return p.Stream(workload.NewPoisson(meanGap, seed), n, workload.Tunable)
 }
 
+// fanOutDAG offers a chain job again as a DAG job: one alternative per
+// chain, in which the chain's first task precedes all the others, so
+// they compete for capacity side by side.
+func fanOutDAG(id int, job core.Job) core.DAGJob {
+	dj := core.DAGJob{ID: id, Release: job.Release}
+	for _, c := range job.Chains {
+		d := core.DAG{Name: c.Name, Quality: c.Quality}
+		for i, task := range c.Tasks {
+			dt := core.DAGTask{Task: task}
+			if i > 0 {
+				dt.Preds = []int{0}
+			}
+			d.Tasks = append(d.Tasks, dt)
+		}
+		dj.Alts = append(dj.Alts, d)
+	}
+	return dj
+}
+
 // TestSingleShardMatchesMonolith is the plane's differential anchor: with
 // one shard and probe fan-out one, the federated arbitrator performs
 // exactly the monolithic qos.Arbitrator's scheduler calls in exactly its
-// order, so on a Figure-4 replay the decision histories, statistics and
-// utilization figures must be bitwise identical.
+// order, so on a Figure-4 replay — with multi-alternative DAG jobs
+// interleaved — the grants, rejections, headroom frontiers, decision
+// histories, statistics, utilization figures and exported state must be
+// bitwise identical.  The durable plane relies on this: at one shard it
+// runs this plane in the monolith's place.
 func TestSingleShardMatchesMonolith(t *testing.T) {
 	const procs = 32
 	jobs := fig4Stream(400, 6, 41)
@@ -46,9 +68,36 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, job := range jobs {
+	const headroomHorizon = 200
+	sameHeadroom := func(what string, id int) {
+		t.Helper()
+		if hm, hf := mono.Headroom(headroomHorizon), plane.Headroom(headroomHorizon); !reflect.DeepEqual(hm, hf) {
+			t.Fatalf("%s %d: headroom differs\nmonolith: %+v\nfed:      %+v", what, id, hm, hf)
+		}
+	}
+	var dagAdmitted, dagRejected int
+	for i, job := range jobs {
 		mono.Observe(job.Release)
 		plane.Observe(job.Release)
+		if i%4 == 0 {
+			// Every fourth release offers a DAG job first, which then
+			// competes with the chain job released beside it.
+			dj := fanOutDAG(100000+job.ID, job)
+			gm, em := mono.NegotiateDAG(dj)
+			gf, ef := plane.NegotiateDAG(dj)
+			switch {
+			case em == nil && ef == nil:
+				if !reflect.DeepEqual(gm, gf) {
+					t.Fatalf("dag job %d: grants differ\nmonolith: %+v\nfed:      %+v", dj.ID, gm, gf)
+				}
+				dagAdmitted++
+			case errors.Is(em, qos.ErrRejected) && errors.Is(ef, qos.ErrRejected):
+				dagRejected++
+			default:
+				t.Fatalf("dag job %d: monolith err=%v, fed err=%v", dj.ID, em, ef)
+			}
+			sameHeadroom("dag job", dj.ID)
+		}
 		gm, em := mono.Negotiate(job)
 		gf, ef := plane.Negotiate(job)
 		if (em == nil) != (ef == nil) {
@@ -58,11 +107,13 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 			if !errors.Is(em, qos.ErrRejected) || !errors.Is(ef, qos.ErrRejected) {
 				t.Fatalf("job %d: unexpected errors %v / %v", job.ID, em, ef)
 			}
-			continue
-		}
-		if !reflect.DeepEqual(gm, gf) {
+		} else if !reflect.DeepEqual(gm, gf) {
 			t.Fatalf("job %d: grants differ\nmonolith: %+v\nfed:      %+v", job.ID, gm, gf)
 		}
+		sameHeadroom("job", job.ID)
+	}
+	if dagAdmitted == 0 || dagRejected == 0 {
+		t.Fatalf("degenerate DAG replay (admitted=%d rejected=%d): tune the stream", dagAdmitted, dagRejected)
 	}
 
 	hm, hf := mono.History(), plane.History()
@@ -89,6 +140,10 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 	}
 	if im, ifed := mono.IndexStats(), plane.IndexStats(); !reflect.DeepEqual(im, ifed) {
 		t.Fatalf("index stats differ\nmonolith: %+v\nfed:      %+v", im, ifed)
+	}
+	ms := mono.ExportState()
+	if want, got := (PlaneState{Now: ms.Now, Shards: []core.SchedulerState{ms.Sched}}), plane.ExportState(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("exported state differs\nmonolith: %+v\nfed:      %+v", want, got)
 	}
 	if err := plane.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -200,27 +200,10 @@ func (r *Rebalancer) SetTotalCapacity(total int) (int, error) {
 // count; 0 follows every change.  The returned stop function detaches the
 // subscription's effect.
 func (r *Rebalancer) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
-	stopped := false
-	last := r.arb.Procs()
-	b.Subscribe(func(ev resbroker.Event) {
-		if stopped {
-			return
-		}
-		if ev.Kind != resbroker.EventRegistered && ev.Kind != resbroker.EventDeregistered {
-			return
-		}
-		procs := b.TotalProcs()
-		if procs < 1 {
-			return
-		}
-		if diff := procs - last; diff < threshold && diff > -threshold {
-			return
-		}
-		last = procs
+	return b.Follow(r.arb.Procs(), threshold, func(procs int) {
 		_, _ = r.SetTotalCapacity(procs)
 		r.Rebalance(0)
 	})
-	return func() { stopped = true }
 }
 
 func (r *Rebalancer) noteMoved(n int64) {

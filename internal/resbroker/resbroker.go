@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Resource is one machine contributed to the pool.
@@ -210,6 +211,35 @@ func (b *Broker) Subscribe(fn func(Event)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.subs = append(b.subs, fn)
+}
+
+// Follow subscribes fn to the pool's registered capacity, the convention
+// every capacity follower shares: each machine registration or
+// deregistration hands fn the pool's new total, unless the pool is empty
+// or the total moved by less than threshold processors from the last
+// total fn was handed (start seeds it; 0 follows every change).
+// Bindings of computations do not change the pool and never reach fn.
+// The broker offers no unsubscribe, so the returned stop detaches by
+// flag: it may be called from any goroutine, concurrently with delivery,
+// and no event delivered after it returns reaches fn.
+func (b *Broker) Follow(start, threshold int, fn func(procs int)) (stop func()) {
+	var stopped atomic.Bool
+	last := start // only the (serialized) delivery path touches last
+	b.Subscribe(func(ev Event) {
+		if stopped.Load() || (ev.Kind != EventRegistered && ev.Kind != EventDeregistered) {
+			return
+		}
+		procs := b.TotalProcs()
+		if procs < 1 {
+			return
+		}
+		if diff := procs - last; diff < threshold && diff > -threshold {
+			return
+		}
+		last = procs
+		fn(procs)
+	})
+	return func() { stopped.Store(true) }
 }
 
 // Register adds a resource to the pool.

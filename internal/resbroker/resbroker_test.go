@@ -1,6 +1,7 @@
 package resbroker
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,74 @@ func TestConcurrentBindRelease(t *testing.T) {
 	wg.Wait()
 	if b.FreeProcs() != 64 {
 		t.Fatalf("free = %d after all released", b.FreeProcs())
+	}
+}
+
+// TestFollow pins the capacity-follower convention: machine churn past
+// the threshold reaches fn with the new total; bindings, small changes
+// and an emptied pool do not; nothing reaches fn after stop.
+func TestFollow(t *testing.T) {
+	b := New(nil)
+	if err := b.Register(res("m0", 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	stop := b.Follow(8, 4, func(procs int) { got = append(got, procs) })
+	steps := []func() error{
+		func() error { return b.Register(res("small", 2, 1)) }, // 10: below threshold
+		func() error { return b.Register(res("big", 4, 1)) },   // 14: followed
+		func() error { _, err := b.Bind(Request{Computation: "c", MinProcs: 2}); return err },
+		func() error { return b.Release("c") },
+		func() error { return b.Deregister("big") }, // 10: followed
+		func() error { return b.Deregister("small") },
+		func() error { return b.Deregister("m0") },           // empty pool: not followed
+		func() error { return b.Register(res("m1", 16, 1)) }, // 16: followed
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	stop()
+	if err := b.Register(res("late", 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{14, 10, 16}; !slices.Equal(got, want) {
+		t.Fatalf("followed totals %v, want %v", got, want)
+	}
+}
+
+// TestFollowStopConcurrentWithChurn: stop may race event delivery (run
+// under -race).
+func TestFollowStopConcurrentWithChurn(t *testing.T) {
+	b := New(nil)
+	var calls int
+	stop := b.Follow(0, 0, func(int) { calls++ })
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := b.Register(res(id, 2, 1)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := b.Deregister(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}([]string{"a", "b"}[c])
+	}
+	wg.Add(1)
+	go func() { defer wg.Done(); stop() }()
+	wg.Wait()
+	before := calls
+	if err := b.Register(res("late", 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if calls != before {
+		t.Fatal("event after stop reached the follower")
 	}
 }
